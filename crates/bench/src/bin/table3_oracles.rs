@@ -103,7 +103,7 @@ fn main() {
         for dialect in Dialect::ALL {
             let s = &reports[&dialect].stats;
             println!(
-                "  {}: {} prefix hit(s), {} snapshot(s) taken ({} evicted), {} verdict memo \
+                "  {}: {} prefix hit(s), {} snapshot(s) taken ({} refused), {} verdict memo \
                  hit(s); {} stmt(s) replayed, {} skipped; {} CoW table cop(ies), {} rewind(s)",
                 dialect.name(),
                 s.replay_prefix_hits,

@@ -1,7 +1,7 @@
 //! Prefix-keyed replay caching for reduction and attribution.
 //!
-//! The post-campaign pipeline re-executes statement logs constantly: the
-//! spurious filter replays every detection twice, delta debugging replays
+//! The post-campaign pipeline re-executes statement logs constantly:
+//! triage replays every detection up to three times, delta debugging replays
 //! `O(n log n)` candidate subsequences, and attribution replays the
 //! reduced case once per enabled fault.  All of those candidates are
 //! subsequences of the *same* detection log, and detections from the same
@@ -89,10 +89,11 @@ pub struct ReplayCacheStats {
     pub statements_replayed: u64,
     /// Setup statements skipped because a snapshot already covered them.
     pub statements_skipped: u64,
-    /// Prefix snapshots retained in the cache.
+    /// Prefix snapshots retained in the cache, one per distinct prefix.
     pub snapshots_taken: u64,
-    /// Prefix snapshots dropped because the cache was at capacity.
-    pub snapshots_evicted: u64,
+    /// Snapshot insertions refused because the cache was at capacity (a
+    /// full cache keeps what it has and evicts nothing).
+    pub snapshots_refused: u64,
 }
 
 impl ReplayCache {
@@ -247,11 +248,16 @@ impl ReplayCache {
     fn commit(&mut self, outcome: ReplayOutcome) -> bool {
         self.stats.statements_replayed += outcome.executed;
         for (key, engine) in outcome.snapshots {
+            // Parallel candidates prepared before either committed can both
+            // bring a snapshot of the same prefix; the first one stays.
+            if self.snapshots.contains_key(&key) {
+                continue;
+            }
             if self.snapshots.len() < self.max_snapshots {
                 self.stats.snapshots_taken += 1;
                 self.snapshots.insert(key, engine);
             } else {
-                self.stats.snapshots_evicted += 1;
+                self.stats.snapshots_refused += 1;
             }
         }
         for key in outcome.newly_seen {
@@ -844,6 +850,34 @@ mod tests {
         assert!(cache.reproduces("containment", &BugProfile::none(), &stmts, &repro));
         assert_eq!(cache.snapshot_count(), 0);
         assert_eq!(cache.stats().prefix_hits, 0);
+    }
+
+    #[test]
+    fn snapshot_counters_count_distinct_prefixes_and_refused_insertions() {
+        let stmts = script("CREATE TABLE t0(c0); INSERT INTO t0(c0) VALUES (1); SELECT * FROM t0;");
+        let refs: Vec<&Statement> = stmts.iter().collect();
+        let hashes: Vec<u64> = stmts.iter().map(statement_hash).collect();
+        let none = BugProfile::none();
+        let repro = |v| ReproSpec::MissingRow(vec![Value::Integer(v)]);
+        let mut cache = ReplayCache::new(Dialect::Sqlite);
+        let _ = cache.reproduces_refs("containment", &none, &refs, &hashes, &repro(1));
+        // Two candidates prepared before either commits (as parallel
+        // reduction workers do) both bring snapshots of the same prefixes.
+        let (a, b) = (repro(2), repro(3));
+        let prepared = [&a, &b].map(|r| (cache.prepare("containment", &none, &hashes, r), r));
+        for (lookup, r) in prepared {
+            let ReplayLookup::Run(run) = lookup else { panic!("a new question must replay") };
+            let _ = cache.commit(execute_prepared(*run, &refs, r));
+        }
+        assert_eq!(cache.snapshot_count(), 2);
+        assert_eq!(cache.stats().snapshots_taken, 2, "one per distinct prefix");
+        assert_eq!(cache.stats().snapshots_refused, 0);
+        // A full cache refuses every further insertion, counting each one.
+        let mut cache = ReplayCache::with_max_snapshots(Dialect::Sqlite, 1);
+        for v in 1..=3 {
+            let _ = cache.reproduces_refs("containment", &none, &refs, &hashes, &repro(v));
+        }
+        assert_eq!((cache.stats().snapshots_taken, cache.stats().snapshots_refused), (1, 2));
     }
 
     #[test]

@@ -6,10 +6,19 @@
 //! state to every registered [`Oracle`] — the error oracle inspects
 //! state-generation failures once per database, per-query oracles such as
 //! containment and TLP run `queries_per_database` checks — and then (3)
-//! reduces and attributes every detection to the injected fault(s) that
-//! reproduce it.  Attribution is done by re-executing the reduced test
-//! case against engines with exactly one fault enabled — the ground truth
-//! that lets the benches regenerate Tables 2 and 3 and Figures 2 and 3.
+//! triages, reduces and attributes the detections to the injected
+//! fault(s) that reproduce them.
+//!
+//! Triage replays each raw detection log up to three times, all through
+//! one replay cache.  A detection that also reproduces with no fault enabled
+//! is `spurious`.  One that does not reproduce under the full fault
+//! profile is `nondeterministic`.  One that the faults not yet reported in
+//! its dedup domain cannot reproduce together is a `duplicate`: it can add
+//! no finding, so it is never reduced.  Only the remaining detections are
+//! reduced and attributed, by re-executing the reduced test case against
+//! engines with exactly one fault enabled — the ground truth that lets the
+//! benches regenerate Tables 2 and 3 and Figures 2 and 3.  A reduced
+//! detection that no single fault reproduces is `unexplained`.
 //!
 //! Campaigns are configured with the fluent [`CampaignBuilder`]:
 //!
@@ -492,14 +501,19 @@ impl Campaign {
         // counter stats instead of doubled ones.
         let counter_baseline: Vec<Vec<(&'static str, u64)>> =
             self.oracles.iter().map(|o| o.counters()).collect();
-        let per_thread = self.databases.div_ceil(threads);
+        // The database budget is split exactly: every worker gets
+        // `databases / threads`, and the first `databases % threads`
+        // workers get one more, so a campaign runs exactly the databases
+        // it was asked for.
+        let (per_thread, extra) = (self.databases / threads, self.databases % threads);
         let results: Vec<(Vec<Detection>, CampaignStats, lancer_engine::Coverage, PlanCoverage)> =
             std::thread::scope(|scope| {
                 let mut handles = Vec::new();
                 for t in 0..threads {
                     let profile = profile.clone();
+                    let databases = per_thread + usize::from(t < extra);
                     handles
-                        .push(scope.spawn(move || self.run_worker(&profile, t as u64, per_thread)));
+                        .push(scope.spawn(move || self.run_worker(&profile, t as u64, databases)));
                 }
                 handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
             });
@@ -550,14 +564,14 @@ impl Campaign {
             }
         }
 
-        // Reduction + attribution + deduplication.  Deduplication is
+        // Triage + reduction + attribution + deduplication.  Deduplication is
         // per-domain (see [`DetectionKind::dedup_domain`]): the PQS kinds
         // share one `seen` set — preserving the original runner's
         // first-detection-wins semantics bit for bit — while each
         // independent logic oracle deduplicates on its own, so its
         // presence never changes the other columns of Table 3.
         //
-        // Every replay here — the spurious filter, each delta-debugging
+        // Every replay here — the triage replays, each delta-debugging
         // candidate, each per-fault attribution run — goes through one
         // [`ReplayCache`]: candidates are index subsets of the detection
         // log, and a replay resumes from the deepest snapshot whose
@@ -599,7 +613,20 @@ impl Campaign {
             if !session.reproduces_all(&profile, &detection.repro) {
                 // Not deterministic enough to analyse (e.g. depends on
                 // statement counters); skip rather than misattribute.
-                stats.unattributed += 1;
+                stats.nondeterministic += 1;
+                continue;
+            }
+            // Triage before reduction, as one group test: replay the raw
+            // log with only the faults not yet reported in this detection's
+            // dedup domain.  When those faults cannot reproduce it together,
+            // the detection witnesses only already-reported bugs, so
+            // reducing it could add no finding.
+            let domain_seen = seen.entry(detection.kind().dedup_domain()).or_default();
+            let unseen: Vec<BugId> = profile.iter().filter(|b| !domain_seen.contains(b)).collect();
+            if unseen.is_empty()
+                || !session.reproduces_all(&BugProfile::with(&unseen), &detection.repro)
+            {
+                stats.duplicate += 1;
                 continue;
             }
             // The reduction predicate is differential: the candidate must
@@ -628,20 +655,13 @@ impl Campaign {
             // must not depend on how aggressively its predicates are
             // shrunk afterwards.
             let mut session = ReplaySession::new(&mut cache, detection.oracle, &statement_reduced);
-            let domain_seen = seen.entry(detection.kind().dedup_domain()).or_default();
-            let mut attributed: Vec<BugId> = Vec::new();
-            for bug in profile.iter() {
-                if domain_seen.contains(&bug) {
-                    continue;
-                }
-                let single = BugProfile::with(&[bug]);
-                if session.reproduces_all(&single, &detection.repro) {
-                    attributed.push(bug);
-                }
-            }
+            let attributed: Vec<BugId> = unseen
+                .into_iter()
+                .filter(|&bug| session.reproduces_all(&BugProfile::with(&[bug]), &detection.repro))
+                .collect();
             if attributed.is_empty() {
                 reduction_totals.absorb(&detection_stats);
-                stats.unattributed += 1;
+                stats.unexplained += 1;
                 continue;
             }
             // The expression pass then shrinks the surviving statements
@@ -699,7 +719,8 @@ impl Campaign {
         stats.replay_statements_skipped = replay.statements_skipped;
         stats.replay_prefix_hits = replay.prefix_hits;
         stats.replay_snapshots_taken = replay.snapshots_taken;
-        stats.replay_snapshot_evictions = replay.snapshots_evicted;
+        stats.replay_snapshot_evictions = replay.snapshots_refused;
+        stats.unattributed = stats.nondeterministic + stats.duplicate + stats.unexplained;
         // Reducer-level memo hits are verdicts served without any replay,
         // the same economy the replay cache's verdict memo provides one
         // layer down — surface them in the same counter.
@@ -925,8 +946,20 @@ pub struct CampaignStats {
     /// Detections that also reproduce with every fault disabled (oracle
     /// divergence); they are discarded, mirroring false bug reports.
     pub spurious: u64,
-    /// Detections that could not be attributed to a single fault.
+    /// Detections that added no finding and are not spurious: the sum of
+    /// [`nondeterministic`](CampaignStats::nondeterministic),
+    /// [`duplicate`](CampaignStats::duplicate) and
+    /// [`unexplained`](CampaignStats::unexplained).
     pub unattributed: u64,
+    /// Detections that did not reproduce when their raw log was replayed
+    /// under the campaign's full fault profile.
+    pub nondeterministic: u64,
+    /// Detections the triage dropped before reduction: the faults not yet
+    /// reported in their dedup domain do not reproduce them together.
+    pub duplicate: u64,
+    /// Detections that were reduced, but that no single unreported fault
+    /// reproduces.
+    pub unexplained: u64,
     /// Distinct plan fingerprints observed across all workers (0 unless
     /// plan observation or guidance is enabled).
     pub unique_plans: u64,
@@ -944,9 +977,10 @@ pub struct CampaignStats {
     /// Replays that resumed from a cached prefix snapshot instead of
     /// building a fresh engine.
     pub replay_prefix_hits: u64,
-    /// Prefix snapshots the replay cache retained.
+    /// Prefix snapshots the replay cache retained (distinct prefixes).
     pub replay_snapshots_taken: u64,
-    /// Prefix snapshots dropped because the replay cache was at capacity.
+    /// Snapshot insertions the replay cache refused because it was at
+    /// capacity (a full cache keeps what it has and evicts nothing).
     pub replay_snapshot_evictions: u64,
     /// Shared tables deep-copied on first write — the copy-on-write
     /// storage's unshare count across generation, oracle checks and
@@ -1232,6 +1266,7 @@ pub fn reproduces(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{BugWitness, OracleReport};
     use crate::reduce::transactions_well_formed;
     use lancer_sql::value::Value;
 
@@ -1351,6 +1386,76 @@ mod tests {
             s.replay_verdict_hits > 0,
             "repeated delta-debugging candidates must hit the verdict memo",
         );
+    }
+
+    /// Raises the same `LIKE`-escape crash witness once per database.
+    struct RepeatedCrash;
+
+    impl Oracle for RepeatedCrash {
+        fn name(&self) -> &'static str {
+            "repeated-crash"
+        }
+
+        fn cadence(&self) -> Cadence {
+            Cadence::PerDatabase
+        }
+
+        fn check(&self, _: &mut StdRng, _: &mut Engine, _: &OracleCtx<'_>) -> OracleReport {
+            OracleReport::bug(BugWitness {
+                trigger: lancer_sql::parse_statement("SELECT 'abc' LIKE 'a\\'").unwrap(),
+                message: "SEGFAULT".into(),
+                repro: ReproSpec::Crash,
+            })
+        }
+    }
+
+    #[test]
+    fn triage_skips_reduction_of_detections_that_repeat_a_finding() {
+        // The second fault stays unreported, so the triage of the repeated
+        // detection is a real replay, not an empty unreported set.
+        let faults = [BugId::SqliteLikeEscapeCrash, BugId::SqliteGroupByNoCaseDuplicates];
+        let run = |databases| {
+            quick_campaign(Dialect::Sqlite)
+                .bugs(BugProfile::with(&faults))
+                .databases(databases)
+                .oracle_instance(Box::new(RepeatedCrash))
+                .run()
+        };
+        let once = run(1);
+        let twice = run(2);
+        for report in [&once, &twice] {
+            let ids: Vec<BugId> = report.found.iter().map(|f| f.id).collect();
+            assert_eq!(ids, vec![BugId::SqliteLikeEscapeCrash]);
+        }
+        assert_eq!(twice.stats.crashes, 2);
+        assert_eq!((twice.stats.duplicate, twice.stats.unattributed), (1, 1));
+        assert_eq!((twice.stats.nondeterministic, twice.stats.unexplained), (0, 0));
+        assert_eq!(once.stats.unattributed, 0);
+        // The first detection is the same in both campaigns; the second is
+        // never reduced, so it adds no reduction work at all.
+        assert!(once.stats.reduction_candidates_evaluated > 0);
+        assert_eq!(
+            twice.stats.reduction_candidates_evaluated,
+            once.stats.reduction_candidates_evaluated
+        );
+        assert_eq!(twice.stats.reduction_statements_before, once.stats.reduction_statements_before);
+    }
+
+    #[test]
+    fn database_budget_is_split_exactly_across_threads() {
+        let (databases, queries) = (40, 2);
+        let report = quick_campaign(Dialect::Sqlite)
+            .bugs(BugProfile::none())
+            .databases(databases)
+            .queries(queries)
+            .threads(3)
+            .oracle("error")
+            .oracle("containment")
+            .oracle("tlp")
+            .run();
+        // `error` runs once per database and counts no query checks.
+        let per_query_oracles = 2;
+        assert_eq!(report.stats.queries_checked, (databases * queries * per_query_oracles) as u64);
     }
 
     #[test]

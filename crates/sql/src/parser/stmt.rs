@@ -1,6 +1,5 @@
 //! Statement parsing.
 
-use crate::ast::expr::Expr;
 use crate::ast::stmt::{
     AlterTable, ColumnConstraint, ColumnDef, CompoundOp, CreateIndex, CreateTable, Delete,
     IndexedColumn, Insert, Join, JoinKind, OnConflict, OrderingTerm, Query, Select, SelectItem,
@@ -324,11 +323,24 @@ impl Parser {
         Ok(ColumnDef { name, type_name, constraints })
     }
 
+    /// Parses a column `DEFAULT` value: a literal, numbers optionally
+    /// negated.  It is not an expression, so a following `COLLATE` or
+    /// `NOT NULL` is left for the next column constraint.
     fn parse_literal_value(&mut self) -> ParseResult<Value> {
-        let e = self.parse_expr()?;
-        match e {
-            Expr::Literal(v) => Ok(v),
-            other => Err(ParseError::new(format!("expected literal, found {other}"))),
+        let negative = self.eat(&Token::Minus);
+        match self.advance().cloned() {
+            Some(Token::Integer(i)) => Ok(Value::Integer(if negative { -i } else { i })),
+            Some(Token::Real(r)) => Ok(Value::Real(if negative { -r } else { r })),
+            Some(Token::String(t)) if !negative => Ok(Value::Text(t)),
+            Some(Token::Blob(b)) if !negative => Ok(Value::Blob(b)),
+            Some(Token::Ident(w)) if !negative && w.eq_ignore_ascii_case("NULL") => Ok(Value::Null),
+            Some(Token::Ident(w)) if !negative && w.eq_ignore_ascii_case("TRUE") => {
+                Ok(Value::Boolean(true))
+            }
+            Some(Token::Ident(w)) if !negative && w.eq_ignore_ascii_case("FALSE") => {
+                Ok(Value::Boolean(false))
+            }
+            other => Err(ParseError::new(format!("expected literal, found {other:?}"))),
         }
     }
 
@@ -839,12 +851,38 @@ mod tests {
             "SELECT '' - 2851427734582196970",
             "DELETE FROM t0 WHERE (c0 > 3)",
             "EXPLAIN SELECT * FROM t0 WHERE (c0 = 1)",
+            "CREATE TABLE t0(c0 TEXT NOT NULL DEFAULT 0 COLLATE NOCASE)",
+            "CREATE TABLE t0(c0 INT DEFAULT -1 NOT NULL)",
         ];
         for s in scripts {
             let stmt = parse_statement(s).unwrap();
             let rendered = stmt.to_string();
             let reparsed = parse_statement(&rendered).unwrap();
             assert_eq!(stmt, reparsed, "round trip failed for {s}");
+        }
+    }
+
+    #[test]
+    fn column_default_literals_round_trip() {
+        for value in [
+            Value::Null,
+            Value::Integer(-7),
+            Value::Real(-2.5),
+            Value::Text("it's".into()),
+            Value::Blob(vec![0, 255]),
+            Value::Boolean(true),
+        ] {
+            let sql = format!("CREATE TABLE t0(c0 DEFAULT {} UNIQUE)", value.to_sql_literal());
+            let stmt = parse_statement(&sql).unwrap_or_else(|e| panic!("{sql}: {e:?}"));
+            let Statement::CreateTable(ct) = &stmt else { panic!("not a CREATE TABLE: {stmt}") };
+            let ColumnConstraint::Default(parsed) = &ct.columns[0].constraints[0] else {
+                panic!("no DEFAULT in {sql}")
+            };
+            assert_eq!(parsed.to_sql_literal(), value.to_sql_literal(), "{sql}");
+            assert_eq!(parse_statement(&stmt.to_string()).unwrap(), stmt, "round trip of {sql}");
+        }
+        for bad in ["DEFAULT c0", "DEFAULT -'a'", "DEFAULT (1 + 2)", "DEFAULT 1 + 2", "DEFAULT"] {
+            assert!(parse_statement(&format!("CREATE TABLE t0(c0 {bad})")).is_err(), "{bad}");
         }
     }
 }
